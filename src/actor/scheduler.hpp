@@ -63,15 +63,20 @@ class Schedulable {
   /// True when the unit is neither mid-slice nor claimed by / queued on
   /// any run queue. Actor<M> refines idle_hint() with its mailbox state
   /// machine: IDLE there means "not enqueued anywhere and mailbox seen
-  /// empty", and the in-slice flag covers the pop-to-state-reset window.
+  /// empty", and the in-slice count covers the pop-to-state-reset window.
+  /// The idle state is read first: a slice stores IDLE before its
+  /// slice_end(), so reading the count first could see zero before the
+  /// slice began, then IDLE from inside the same slice, and report a
+  /// running unit quiescent.
   bool quiescent() const {
-    return !in_slice_.load(std::memory_order_seq_cst) && idle_hint();
+    return idle_hint() &&
+           slices_in_progress_.load(std::memory_order_seq_cst) == 0;
   }
 
   /// Slices this unit has fully completed. The despawn protocol
   /// (ActorSystem::despawn_job) reads this before and after a quiescent()
-  /// sweep: slice_end() bumps the counter BEFORE clearing the in-slice
-  /// flag, so an unchanged counter across a window in which every unit
+  /// sweep: slice_end() bumps the counter BEFORE dropping the in-slice
+  /// count, so an unchanged counter across a window in which every unit
   /// read quiescent means no slice ran anywhere in that window.
   std::uint64_t slices_completed() const {
     return slices_completed_.load(std::memory_order_seq_cst);
@@ -84,16 +89,23 @@ class Schedulable {
  private:
   friend class Scheduler;
 
-  void slice_begin() { in_slice_.store(true, std::memory_order_seq_cst); }
+  // Slices of one unit can overlap at their edges: an actor whose
+  // execute_batch re-schedules itself (the go-idle re-check) is runnable
+  // on another worker before this worker's slice_end(). A count, unlike
+  // a flag, stays nonzero until the last of them has ended.
+  void slice_begin() {
+    slices_in_progress_.fetch_add(1, std::memory_order_seq_cst);
+  }
   void slice_end() {
-    // Counter first, then the flag: a reader that sees in_slice_ == false
-    // with an unchanged counter knows this slice's writes are visible.
+    // Counter first, then the in-slice count: a reader that sees zero in
+    // progress with an unchanged counter knows this slice's writes are
+    // visible.
     slices_completed_.fetch_add(1, std::memory_order_seq_cst);
-    in_slice_.store(false, std::memory_order_seq_cst);
+    slices_in_progress_.fetch_sub(1, std::memory_order_seq_cst);
   }
 
   std::uint32_t job_tag_ = 0;
-  std::atomic<bool> in_slice_{false};
+  std::atomic<std::uint32_t> slices_in_progress_{0};
   std::atomic<std::uint64_t> slices_completed_{0};
 };
 

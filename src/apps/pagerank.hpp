@@ -61,6 +61,8 @@ class PageRankProgram final : public Program {
 
   std::uint64_t max_supersteps() const override { return iterations_; }
 
+  bool float_sum_fold() const override { return true; }
+
   bool has_combiner() const override { return true; }
 
   Payload combine(Payload a, Payload b) const override {

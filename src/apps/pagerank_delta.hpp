@@ -83,6 +83,8 @@ class PageRankDeltaProgram final : public Program {
 
   std::uint64_t max_supersteps() const override { return max_iterations_; }
 
+  bool float_sum_fold() const override { return true; }
+
   bool has_combiner() const override { return true; }
 
   Payload combine(Payload a, Payload b) const override {

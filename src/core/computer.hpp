@@ -19,17 +19,34 @@
 // engine's MessageBatchPool, closing the zero-allocation loop with the
 // dispatchers' leases.
 //
+// Sum-fold programs (Program::float_sum_fold: PageRank and its delta
+// variant) take a different apply path, because a float fold's result
+// depends on arrival order. Each message converts to Q7.56 fixed point
+// and adds into a private accumulator over this actor's OwnerMap slice
+// (dense local_index, plus a touched bitmap); the slot is not written on
+// arrival. On COMPUTE_OVER every touched vertex is published once, in
+// ascending id order, through the same first_update -> compute -> changed
+// -> slot/latest-column/worklist protocol as a first message above, with
+// the correctly rounded total as the message. Integer addition is
+// associative, so the result is bit-identical for every arrival order,
+// while applies still overlap dispatch (DESIGN.md §11).
+//
 // COMPUTE_OVER (sent by the manager only after every dispatcher finished,
 // hence after every batch of the superstep is already enqueued) is acked
 // back with the number of vertices this actor updated.
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <string>
+#include <vector>
 
 #include "actor/actor.hpp"
 #include "core/message_pool.hpp"
 #include "core/messages.hpp"
+#include "core/ownership.hpp"
 #include "core/program.hpp"
+#include "core/sum_fold.hpp"
 #include "storage/active_bitmap.hpp"
 #include "storage/value_file.hpp"
 
@@ -46,10 +63,12 @@ class ComputerActor final : public Actor<ComputerMsg> {
   /// bit-identical-results invariant, DESIGN.md §12). `orig_ids` (non-null
   /// only for renumbered v2 files) translates the vertex id handed to
   /// Program::first_update back to the original id; storage indexing
-  /// stays internal.
+  /// stays internal. `owners` maps this actor's slice to the dense local
+  /// range its sum-fold accumulator covers.
   ComputerActor(std::uint32_t id, ValueFile& values, const Program& program,
                 std::vector<std::uint8_t>& latest_column,
-                MessageBatchPool& pool, ActiveBitmap* worklist = nullptr,
+                MessageBatchPool& pool, const OwnerMap& owners,
+                ActiveBitmap* worklist = nullptr,
                 const VertexId* orig_ids = nullptr);
 
   void connect(ManagerActor* manager);
@@ -60,8 +79,9 @@ class ComputerActor final : public Actor<ComputerMsg> {
   /// non-updates — the "negative value" copy).
   std::uint64_t touches_total() const { return touches_total_; }
 
-  /// Wall time spent applying batches (the compute-side complement of
-  /// DispatcherActor::busy_seconds for the message-plane bench).
+  /// Wall time spent applying batches, including the sum-fold publish
+  /// pass (the compute-side complement of DispatcherActor::busy_seconds
+  /// for the message-plane bench).
   double busy_seconds() const { return busy_seconds_; }
 
  protected:
@@ -69,6 +89,16 @@ class ComputerActor final : public Actor<ComputerMsg> {
 
  private:
   void apply(const VertexMessage& message, unsigned update_col);
+  /// Sum-fold path: adds the message into v's fixed-point accumulator.
+  void accumulate(const VertexMessage& message);
+  /// Sum-fold path: publishes every touched vertex's total and resets the
+  /// accumulator for the next superstep.
+  void publish_sums(unsigned update_col);
+  /// First fold of a superstep for v: seeds from v's freshest payload, folds
+  /// `message` in, and stores the result (or the copied payload, stale,
+  /// when `changed` says it is no update) into the update column.
+  void fold_first(VertexId v, Payload message, unsigned update_col);
+  void report_failure(std::uint64_t superstep, const std::exception& e);
 
   const std::uint32_t id_;
   ValueFile& values_;
@@ -81,6 +111,14 @@ class ComputerActor final : public Actor<ComputerMsg> {
   ActiveBitmap* const worklist_;
   /// Renumbered files' internal -> original id map; nullptr = identity.
   const VertexId* const orig_ids_;
+  const OwnerMap& owners_;
+
+  /// Sum-fold state, sized only when program_.float_sum_fold(): per owned
+  /// vertex (dense local index) its Q7.56 running total, and a bitmap of
+  /// the local indices touched this superstep.
+  const bool sum_fold_;
+  std::vector<FixedSum> sums_;
+  std::vector<std::uint64_t> touched_;
 
   ManagerActor* manager_ = nullptr;
   std::uint64_t updates_this_superstep_ = 0;

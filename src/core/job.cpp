@@ -219,7 +219,8 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   for (std::uint32_t c = 0; c < owners.parts(); ++c) {
     computers.push_back(system.spawn_in_job<ComputerActor>(
         ctx.job_tag, c, std::ref(values), std::cref(program),
-        std::ref(latest_column), std::ref(pool), worklist, orig));
+        std::ref(latest_column), std::ref(pool), std::cref(owners), worklist,
+        orig));
   }
   const std::uint64_t checkpoint_interval =
       options.checkpoint_each_superstep

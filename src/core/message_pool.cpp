@@ -1,5 +1,6 @@
 #include "core/message_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -25,10 +26,20 @@ MessageBatchPool::MessageBatchPool(std::size_t batch_capacity, bool enabled)
   GPSA_CHECK(batch_capacity_ > 0);
 }
 
+std::vector<VertexMessage> MessageBatchPool::allocate() const {
+  // The one sanctioned allocation site for message batch buffers (the
+  // gpsa-lint msg-buffer-alloc rule confines sized construction and
+  // reserve/resize of VertexMessage vectors to this file).
+  std::vector<VertexMessage> buffer;
+  buffer.reserve(batch_capacity_);
+  return buffer;
+}
+
 std::vector<VertexMessage> MessageBatchPool::lease() {
   if (enabled_) {
     MutexLock lock(mutex_);
     ++leases_;
+    ++superstep_leases_;
     if (!free_.empty()) {
       ++hits_;
       std::vector<VertexMessage> buffer = std::move(free_.back());
@@ -36,16 +47,12 @@ std::vector<VertexMessage> MessageBatchPool::lease() {
       return buffer;
     }
     ++misses_;
+    ++population_;
     if (supersteps_marked_ >= 2) {
       ++steady_misses_;
     }
   }
-  // The one sanctioned allocation site for message batch buffers (the
-  // gpsa-lint msg-buffer-alloc rule confines sized construction and
-  // reserve/resize of VertexMessage vectors to this file).
-  std::vector<VertexMessage> buffer;
-  buffer.reserve(batch_capacity_);
-  return buffer;
+  return allocate();
 }
 
 void MessageBatchPool::recycle(std::vector<VertexMessage>&& buffer) {
@@ -61,6 +68,19 @@ void MessageBatchPool::recycle(std::vector<VertexMessage>&& buffer) {
 void MessageBatchPool::mark_superstep() {
   MutexLock lock(mutex_);
   ++supersteps_marked_;
+  if (!enabled_) {
+    return;
+  }
+  // Every buffer leased this superstep could have been in flight at once
+  // (a dispatcher enqueues its whole interval in one slice), so the next
+  // superstep is miss-free under any schedule once the population covers
+  // the largest lease count seen.
+  peak_superstep_leases_ = std::max(peak_superstep_leases_, superstep_leases_);
+  superstep_leases_ = 0;
+  while (population_ < peak_superstep_leases_) {
+    free_.push_back(allocate());
+    ++population_;
+  }
 }
 
 MessagePoolStats MessageBatchPool::stats() const {

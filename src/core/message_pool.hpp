@@ -9,11 +9,17 @@
 //
 // This pool closes the loop: dispatchers *lease* an empty buffer with the
 // batch capacity already reserved, and computing actors *recycle* the
-// drained buffer after applying it. After a warm-up superstep or two the
-// set of circulating buffers covers the maximum in-flight batch count and
-// steady-state supersteps run allocation-free — MessagePoolStats reports
-// exactly that (steady_misses == 0) and the message-plane bench gates on
-// it.
+// drained buffer after applying it. How many buffers are in flight at
+// once is the scheduler's business (dispatchers running ahead of the
+// computers hold more), so the pool does not size itself from what it
+// happened to see: at each superstep boundary it tops its population up
+// to the most leases any one superstep has made — the most a superstep
+// can have in flight, whatever the worker count. A superstep that leases
+// no more than an earlier one then runs allocation-free under every
+// schedule — MessagePoolStats reports exactly that (steady_misses == 0)
+// and the message-plane bench gates on it. (Mod routing's dispatchers
+// keep one staging buffer per owner across the boundary; those
+// dispatchers x owners buffers sit outside this guarantee.)
 //
 // Concurrency: lease() runs on dispatcher actors, recycle() on computing
 // actors, mark_superstep() on the manager — all scheduler workers. One
@@ -119,13 +125,18 @@ class MessageBatchPool {
   /// Return a drained buffer; its capacity re-enters circulation.
   void recycle(std::vector<VertexMessage>&& buffer) GPSA_EXCLUDES(mutex_);
 
-  /// Superstep boundary (called by the manager): after two of these the
+  /// Superstep boundary (called by the manager, once every batch of the
+  /// superstep has been recycled): tops the buffer population up to the
+  /// largest per-superstep lease count so far. After two of these the
   /// warm-up window closes and further misses count as steady_misses.
   void mark_superstep() GPSA_EXCLUDES(mutex_);
 
   MessagePoolStats stats() const GPSA_EXCLUDES(mutex_);
 
  private:
+  /// A fresh buffer with batch_capacity_ reserved.
+  std::vector<VertexMessage> allocate() const;
+
   const std::size_t batch_capacity_;
   const bool enabled_;
 
@@ -137,6 +148,11 @@ class MessageBatchPool {
   std::uint64_t steady_misses_ GPSA_GUARDED_BY(mutex_) = 0;
   std::uint64_t recycled_bytes_ GPSA_GUARDED_BY(mutex_) = 0;
   std::uint64_t supersteps_marked_ GPSA_GUARDED_BY(mutex_) = 0;
+  /// Buffers this pool has allocated (misses plus boundary top-ups).
+  std::uint64_t population_ GPSA_GUARDED_BY(mutex_) = 0;
+  /// Leases since the last boundary, and the most of any one superstep.
+  std::uint64_t superstep_leases_ GPSA_GUARDED_BY(mutex_) = 0;
+  std::uint64_t peak_superstep_leases_ GPSA_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace gpsa

@@ -18,6 +18,10 @@
 //   compute(...)      -- folds one message into the accumulator
 //                        (Algorithm 3 line 10).
 //
+// Optional hooks declare fold properties the engines exploit: a Pregel-
+// style combiner, delta messages, and float_sum_fold() (an exact,
+// order-independent fold for PageRank-style sums; core/sum_fold.hpp).
+//
 // All engines in this repository (GPSA, the GraphChi-style PSW baseline,
 // the X-Stream-style baseline, and the sequential reference) execute the
 // same Program, which is what makes the cross-engine equivalence tests and
@@ -65,10 +69,22 @@ class Program {
   /// given v's current stored payload.
   virtual Payload first_update(VertexId v, Payload stored) const = 0;
 
-  /// Folds one message into the accumulator. Must be commutative and
-  /// associative up to the app's accepted tolerance (message arrival order
-  /// is nondeterministic).
+  /// Folds one message into the accumulator. Message arrival order is the
+  /// scheduler's, so results are deterministic only for folds that are
+  /// exactly commutative and associative (min, max, or, integer sums); a
+  /// non-negative float sum becomes one by declaring float_sum_fold().
   virtual Payload compute(Payload accumulator, Payload message) const = 0;
+
+  /// True when compute(acc, m) is the float sum
+  /// payload_to_float(acc) + payload_to_float(m) of non-negative payloads
+  /// (PageRank, PageRankDeltaProgram). The single-node engine then folds a
+  /// superstep's messages to a vertex exactly — Q7.56 fixed point, integer
+  /// addition (core/sum_fold.hpp) — and calls first_update, compute and
+  /// changed once per vertex at the superstep's end, with the correctly
+  /// rounded total as the message. Results are then bit-identical for
+  /// every arrival order, worker count and actor shape. A message or a
+  /// per-vertex total of 2^7 or more fails the run instead of wrapping.
+  virtual bool float_sum_fold() const { return false; }
 
   /// Whether the post-fold value counts as an update relative to the value
   /// the vertex held before this superstep (drives the stale flag and

@@ -616,14 +616,39 @@ TEST(CsrV2Engine, PageRankBitIdenticalAcrossFormatsAtFixedOrder) {
       expect_payloads_equal(v2.value().values, v1.value().values);
     }
   }
-  // Renumbering changes fold order, so floats are near, not identical —
-  // but still keyed by original ids (a misapplied inverse permutation
-  // would scramble them far past any tolerance).
+  // Renumbering changes which dispatcher sends which message and so the
+  // arrival order; results stay keyed by original ids (a misapplied
+  // inverse permutation would scramble them far past any tolerance). The
+  // exact sum fold makes them bit-identical as well, which
+  // PageRankBitIdenticalAcrossOrdersAndShapes asserts.
   for (const auto order : {CsrOrder::kDegree, CsrOrder::kBfs}) {
     auto reordered = run_engine(graph, pagerank, CsrFormat::kV2, order,
                                 ExecMode::kWorklist, IoBackendKind::kMmap, 1);
     ASSERT_TRUE(reordered.is_ok()) << reordered.status().to_string();
     expect_float_payloads_near(reordered.value().values, v1.value().values);
+  }
+}
+
+TEST(CsrV2Engine, PageRankBitIdenticalAcrossOrdersAndShapes) {
+  // A renumbered file sends the same messages under other internal ids,
+  // from other dispatchers, in another order. PageRank folds them in exact
+  // fixed point (core/sum_fold.hpp), so neither the order nor the actor
+  // shape may change a result bit.
+  const EdgeList graph = rmat(/*scale=*/8, /*edges=*/4000, /*seed=*/23);
+  const PageRankProgram pagerank(/*iterations=*/10);
+  auto baseline = run_engine(graph, pagerank, CsrFormat::kV1, CsrOrder::kNone,
+                             ExecMode::kWorklist, IoBackendKind::kMmap, 1);
+  ASSERT_TRUE(baseline.is_ok()) << baseline.status().to_string();
+  for (const auto order :
+       {CsrOrder::kNone, CsrOrder::kDegree, CsrOrder::kBfs}) {
+    for (const unsigned actors : {2U, 3U}) {
+      SCOPED_TRACE("order=" + std::to_string(static_cast<int>(order)) +
+                   " actors=" + std::to_string(actors));
+      auto run = run_engine(graph, pagerank, CsrFormat::kV2, order,
+                            ExecMode::kWorklist, IoBackendKind::kMmap, actors);
+      ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+      expect_payloads_equal(run.value().values, baseline.value().values);
+    }
   }
 }
 

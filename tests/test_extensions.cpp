@@ -1,9 +1,14 @@
 // Tests for the engine extensions beyond the paper's minimum: worker
-// exception handling (§V.C), dispatcher-side message combining, and the
-// additional vertex programs (multi-source reachability, in-degree).
+// exception handling (§V.C), the exact fixed-point sum fold,
+// dispatcher-side message combining, and the additional vertex programs
+// (multi-source reachability, in-degree).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
@@ -12,9 +17,11 @@
 #include "apps/pagerank.hpp"
 #include "apps/reference.hpp"
 #include "core/engine.hpp"
+#include "core/sum_fold.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace gpsa {
 namespace {
@@ -108,6 +115,92 @@ TEST(WorkerFailure, EngineRemainsUsableAfterFailure) {
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   expect_payloads_equal(result.value().values,
                         oracle_bfs_levels(Csr::from_edges(graph), 0));
+}
+
+// --- Exact sum fold (core/sum_fold.hpp) ---------------------------------------
+
+TEST(SumFold, ConvertsExactlyDownToTwoToTheMinus33) {
+  EXPECT_EQ(payload_to_fixed(float_to_payload(1.0F)), FixedSum{1} << 56);
+  EXPECT_EQ(payload_to_fixed(float_to_payload(0x1p-33F)), FixedSum{1} << 23);
+  EXPECT_EQ(payload_to_fixed(float_to_payload(0.0F)), 0);
+  // Below the 2^-56 resolution: round half up, then nothing.
+  EXPECT_EQ(payload_to_fixed(float_to_payload(0x1p-57F)), 1);
+  EXPECT_EQ(payload_to_fixed(float_to_payload(0x1.8p-58F)), 0);
+  // Every float in [2^-33, 2^7) survives the round trip bit for bit.
+  for (const float x : {0x1p-33F, 0x1.fffffep-20F, 1e-6F, 0.15F / 21.0F,
+                        0.333333F, 1.0F, 0x1.fffffep6F}) {
+    EXPECT_EQ(fixed_to_payload(payload_to_fixed(float_to_payload(x))),
+              float_to_payload(x))
+        << x;
+  }
+}
+
+TEST(SumFold, TotalIsIndependentOfOrderAndCorrectlyRounded) {
+  Rng rng(11);
+  std::vector<Payload> messages;
+  double exact = 0.0;
+  for (int i = 0; i < 2000; ++i) {
+    const float m = static_cast<float>(rng.next_double()) * 1e-3F;
+    messages.push_back(float_to_payload(m));
+    exact += m;  // double: error far below the float ulp checked below
+  }
+  FixedSum forward = 0;
+  for (const Payload m : messages) {
+    fixed_sum_add(forward, payload_to_fixed(m));
+  }
+  std::reverse(messages.begin(), messages.end());
+  FixedSum backward = 0;
+  for (const Payload m : messages) {
+    fixed_sum_add(backward, payload_to_fixed(m));
+  }
+  EXPECT_EQ(forward, backward);
+  const float total = payload_to_float(fixed_to_payload(forward));
+  // One rounding: within half a float ulp (2^-24 relative), plus slack
+  // for the double reference sum's own error.
+  EXPECT_LE(std::fabs(total - exact), std::ldexp(exact, -24) * 1.001);
+}
+
+TEST(SumFold, OverflowThrowsInsteadOfWrapping) {
+  EXPECT_THROW((void)payload_to_fixed(float_to_payload(128.0F)),
+               std::overflow_error);
+  EXPECT_THROW(
+      (void)payload_to_fixed(float_to_payload(
+          std::numeric_limits<float>::infinity())),
+      std::overflow_error);
+  FixedSum sum = payload_to_fixed(float_to_payload(100.0F));
+  EXPECT_THROW(fixed_sum_add(sum, payload_to_fixed(float_to_payload(100.0F))),
+               std::overflow_error);
+}
+
+/// A float-sum program whose per-vertex totals reach 2^7: every vertex
+/// starts at 100 and sends it whole along each out-edge.
+class HeavySumProgram final : public Program {
+ public:
+  std::string name() const override { return "heavy-sum"; }
+  InitialState init(VertexId /*v*/, VertexId /*n*/) const override {
+    return {float_to_payload(100.0F), true};
+  }
+  Payload gen_msg(VertexId /*s*/, VertexId /*d*/, Payload value,
+                  std::uint32_t /*deg*/) const override {
+    return value;
+  }
+  Payload first_update(VertexId /*v*/, Payload /*stored*/) const override {
+    return float_to_payload(0.0F);
+  }
+  Payload compute(Payload accumulator, Payload message) const override {
+    return float_to_payload(payload_to_float(accumulator) +
+                            payload_to_float(message));
+  }
+  bool float_sum_fold() const override { return true; }
+};
+
+TEST(WorkerFailure, SumFoldOverflowSurfacesAsStatus) {
+  const EdgeList graph = diamond_graph();  // vertex 3 has two in-edges
+  const HeavySumProgram program;
+  const auto result = Engine::run(graph, program, small_options());
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("overflow"), std::string::npos);
 }
 
 // --- Message combining --------------------------------------------------------

@@ -11,9 +11,12 @@
 //     arithmetic, interval-derived boundaries, name round-trips.
 //   - Engine equality across the full pooling x routing x combiner cube:
 //     bit-identical for the monotone apps (BFS/CC/SSSP fold with min, so
-//     arrival order cannot matter); PageRank bit-identical wherever the
-//     per-vertex fold order is provably unchanged (single dispatcher,
-//     combiner fixed) and float-near across the order-changing crossings.
+//     arrival order cannot matter); PageRank bit-identical at a single
+//     dispatcher with the combiner fixed, and float-near across the
+//     combiner crossings. Arrival order does not matter for PageRank
+//     either — its sum fold is exact fixed point (core/sum_fold.hpp) — but
+//     the dispatcher-side combiner sums in float per staged batch, so
+//     combining changes result bits.
 //   - RunResult surfacing: pool stats (zero steady-state misses), the
 //     resolved routing, per-computer busy seconds.
 #include <gtest/gtest.h>
@@ -245,10 +248,11 @@ TEST_F(MessagePlaneEquality, MonotoneAppsBitIdenticalAcrossFullCube) {
 }
 
 TEST_F(MessagePlaneEquality, PageRankBitIdenticalWhereFoldOrderIsFixed) {
-  // With a single dispatcher the per-vertex fold order is the dispatch
-  // scan order under mod routing and — because the radix scatter is a
-  // stable counting sort — exactly the same order under range routing.
-  // Pooling never reorders anything. So this 2x2 must be bit-identical.
+  // PageRank's sum fold is exact fixed point, so no arrival order shows
+  // in the result; with a single dispatcher the arrival order is fixed
+  // as well (the dispatch scan order under mod routing, and the same
+  // order under range routing's stable radix scatter). Pooling never
+  // reorders anything. So this 2x2 must be bit-identical.
   const EdgeList graph = test_graph();
   const PageRankProgram program(4);
   const auto baseline = Engine::run(
@@ -272,9 +276,12 @@ TEST_F(MessagePlaneEquality, PageRankBitIdenticalWhereFoldOrderIsFixed) {
 }
 
 TEST_F(MessagePlaneEquality, PageRankNearEqualAcrossOrderChangingConfigs) {
-  // Combining re-associates the float fold and multiple dispatchers
-  // interleave arrival order, so these crossings are near-equal, not
-  // bit-equal.
+  // Combining re-associates the sum: the dispatcher adds same-destination
+  // messages in float before sending, and which messages meet in a
+  // staging buffer depends on routing and batch boundaries. So the
+  // combiner crossings are near-equal, not bit-equal. (Without the
+  // combiner, multiple dispatchers' interleaved arrival order changes no
+  // bit: the computers' sum fold is exact.)
   const EdgeList graph = test_graph();
   const PageRankProgram program(4);
   const auto baseline = Engine::run(

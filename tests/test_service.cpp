@@ -27,12 +27,12 @@ namespace {
 
 using testing::expect_payloads_equal;
 
-// One dispatcher + one computer per job: every mailbox has a single
-// sender, so fold order is deterministic and even PageRank's sum fold is
-// bit-identical to a sequential engine run at the same shape
-// (test_engine.cpp SingleDispatcherSingleComputer precedent). Job-level
-// concurrency still exercises the shared scheduler: multiple jobs'
-// actors interleave on the same workers.
+// One dispatcher + one computer per job. PageRank's sum fold is exact
+// fixed point (core/sum_fold.hpp), so its result is bit-identical to a
+// sequential engine run whatever the arrival order; this small shape keeps
+// each job cheap (test_engine.cpp SingleDispatcherSingleComputer
+// precedent). Job-level concurrency still exercises the shared scheduler:
+// multiple jobs' actors interleave on the same workers.
 ServiceOptions small_service_options() {
   ServiceOptions so;
   so.num_dispatchers = 1;

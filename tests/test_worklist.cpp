@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <numeric>
+#include <string>
 
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
@@ -99,10 +100,11 @@ TEST(Worklist, MonotoneAppsBitIdenticalAcrossExecPoolRouting) {
 }
 
 TEST(Worklist, PageRankBitIdenticalUnderDeterministicSchedule) {
-  // Float folds depend on arrival order, so bit-identity across exec
-  // modes is asserted under a single-actor schedule (one dispatcher, one
-  // computer, one worker: ascending dispatch in both modes makes arrival
-  // order identical). The multi-actor case is covered within tolerance.
+  // Bit-identity across exec modes under a single-actor schedule (one
+  // dispatcher, one computer, one worker: ascending dispatch in both modes
+  // makes arrival order identical), plus the multi-actor case within
+  // tolerance. PageRank's sum fold is exact (core/sum_fold.hpp), so the
+  // multi-actor case is also bit-identical; the next test asserts that.
   const EdgeList graph = rmat(7, 1200, 9);
   const PageRankProgram program(8);
   EngineOptions eo;
@@ -122,6 +124,43 @@ TEST(Worklist, PageRankBitIdenticalUnderDeterministicSchedule) {
       graph, program,
       matrix_options(ExecMode::kWorklist, true, MessageRouting::kRange));
   expect_float_payloads_near(multi_worklist, multi_sweep);
+}
+
+TEST(Worklist, SumFoldAppsBitIdenticalAcrossShapesExecPoolRouting) {
+  // Arrival order at a computer is the scheduler's, but the sum fold adds
+  // in fixed point, so no shape, worker count, exec mode, pool setting or
+  // routing changes a payload bit. (The dispatcher-side combiner sums in
+  // float per batch, so it is left off here.)
+  const EdgeList graph = rmat(7, 1200, 9);
+  const PageRankProgram pagerank(8);
+  const PageRankDeltaProgram delta(100, 0.85F, 1e-7F);
+  const Program* const programs[] = {&pagerank, &delta};
+  for (const Program* program : programs) {
+    EngineOptions single;
+    single.num_dispatchers = 1;
+    single.num_computers = 1;
+    single.scheduler_workers = 1;
+    const auto baseline = must_run(graph, *program, single);
+    for (const unsigned actors : {2U, 3U, 5U}) {
+      for (const ExecMode exec : {ExecMode::kSweep, ExecMode::kWorklist}) {
+        for (const bool pool : {false, true}) {
+          for (const MessageRouting routing :
+               {MessageRouting::kRange, MessageRouting::kMod}) {
+            EngineOptions eo = matrix_options(exec, pool, routing);
+            eo.num_dispatchers = actors;
+            eo.num_computers = actors + 1;
+            eo.scheduler_workers = actors;
+            SCOPED_TRACE(program->name() + " actors=" +
+                         std::to_string(actors) + " exec=" +
+                         exec_mode_name(exec) + " pool=" +
+                         (pool ? "on" : "off") + " routing=" +
+                         message_routing_name(routing));
+            expect_payloads_equal(must_run(graph, *program, eo), baseline);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- The activation/halting regression (single-vertex frontier) ------------
@@ -263,6 +302,36 @@ TEST(WorklistDelta, DeltaIdenticalAcrossExecModes) {
   eo.exec = ExecMode::kWorklist;
   const auto worklist = must_run(graph, program, eo);
   expect_payloads_equal(worklist, sweep);
+}
+
+TEST(WorklistDelta, SubEpsilonMessagesStillSumPastTheEpsilon) {
+  // 20 sources each point only at vertex 0. Every message carries
+  // d * (1-d)/N, below the epsilon on its own, but the received mass —
+  // what pagerank_delta.hpp gates re-activation on — is 20 times that.
+  // Evaluating `changed` per message instead of on the superstep's total
+  // re-seeds vertex 0 from its stale base on every message and drops all
+  // of it.
+  constexpr VertexId kSources = 20;
+  constexpr float kDamping = 0.85F;
+  EdgeList graph;
+  for (VertexId v = 1; v <= kSources; ++v) {
+    graph.add_edge(v, 0);
+  }
+  const VertexId n = kSources + 1;
+  graph.ensure_vertices(n);
+  const PageRankDeltaProgram program(10, kDamping, 0.01F);
+  // rank(v) = (1-d)/N + sum of received deltas; the sources receive
+  // nothing, vertex 0 receives one d * (1-d)/N share from each source.
+  const float teleport = (1.0F - kDamping) / static_cast<float>(n);
+  std::vector<Payload> expected(n, float_to_payload(teleport));
+  expected[0] = float_to_payload(
+      teleport * (1.0F + static_cast<float>(kSources) * kDamping));
+  for (const unsigned dispatchers : {1U, 2U}) {
+    SCOPED_TRACE("dispatchers=" + std::to_string(dispatchers));
+    EngineOptions eo;
+    eo.num_dispatchers = dispatchers;
+    expect_float_payloads_near(must_run(graph, program, eo), expected);
+  }
 }
 
 TEST(WorklistDelta, EpsilonResolution) {
